@@ -31,9 +31,10 @@
 package flow
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"github.com/hpcsim/t2hx/internal/sim"
 	"github.com/hpcsim/t2hx/internal/telemetry"
@@ -419,7 +420,9 @@ func (n *Network) drained(idx int32) bool {
 // recycles the very slot it is completing.
 func (n *Network) finishFlows(done []int32) {
 	t := &n.tab
-	sort.Slice(done, func(i, j int) bool { return t.seq[done[i]] < t.seq[done[j]] })
+	// slices.SortFunc, not sort.Slice: the latter boxes the slice and its
+	// closure on every batch. seq is unique, so the order is total.
+	slices.SortFunc(done, func(a, b int32) int { return cmp.Compare(t.seq[a], t.seq[b]) })
 	cbs := n.cbScratch[:0]
 	for _, idx := range done {
 		if n.cc != nil {

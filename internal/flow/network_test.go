@@ -252,3 +252,30 @@ func TestConservationProperty(t *testing.T) {
 	}
 	e.Run()
 }
+
+// TestCompletionBatchAllocFree asserts that a batch of simultaneous
+// completions — start, settle, complete, start-order callback sort, and
+// the re-settle — allocates nothing once the network's scratch is warm.
+func TestCompletionBatchAllocFree(t *testing.T) {
+	forEachSolver(t, func(t *testing.T, s Solver) {
+		g, fwd, _ := lineGraph(1000)
+		e := sim.NewEngine()
+		n := NewNetwork(e, g)
+		n.SetSolver(s)
+		const batch = 16
+		finished := 0
+		onDone := func(sim.Time) { finished++ }
+		allocs := testing.AllocsPerRun(50, func() {
+			for i := 0; i < batch; i++ {
+				n.Start(fwd, 100, onDone)
+			}
+			e.Run()
+		})
+		if finished != 51*batch {
+			t.Fatalf("%d flows finished, want %d", finished, 51*batch)
+		}
+		if allocs != 0 {
+			t.Errorf("completion batch of %d flows: %v allocs, want 0", batch, allocs)
+		}
+	})
+}

@@ -64,18 +64,23 @@ func requireBitIdentical(t *testing.T, seed uint64, label string, a, b propResul
 
 // TestShardDeterminism asserts byte-identical rates, completion times and
 // telemetry conservation sums across worker counts 1/2/8 on randomized
-// instances, mirroring exp's TestSweepDeterministicAcrossWorkers.
+// instances of every property family, mirroring exp's
+// TestSweepDeterministicAcrossWorkers.
 func TestShardDeterminism(t *testing.T) {
 	defer func(old int) { shardMinFlows = old }(shardMinFlows)
 	shardMinFlows = 0 // force parallel dispatch on these tiny instances
 	const instances = 40
-	for seed := uint64(0); seed < instances; seed++ {
-		inst := genInstance(seed)
-		base := runPropInstance(t, inst, SolverIncremental, 1)
-		for _, workers := range []int{2, 8} {
-			got := runPropInstance(t, inst, SolverIncremental, workers)
-			requireBitIdentical(t, seed, "workers="+string('0'+rune(workers)), base, got)
-		}
+	for _, fam := range propFamilies {
+		t.Run(fam.name, func(t *testing.T) {
+			for seed := uint64(0); seed < instances; seed++ {
+				inst := fam.gen(seed)
+				base := runPropInstance(t, inst, SolverIncremental, 1)
+				for _, workers := range []int{2, 8} {
+					got := runPropInstance(t, inst, SolverIncremental, workers)
+					requireBitIdentical(t, seed, "workers="+string('0'+rune(workers)), base, got)
+				}
+			}
+		})
 	}
 }
 

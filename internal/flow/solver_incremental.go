@@ -22,18 +22,26 @@ import (
 //     The region is discovered segmented into its connected components,
 //     which can be re-solved in parallel (solver_shard.go, DESIGN.md §12).
 //  3. Heaps for both bottleneck selection (shareHeap over channel fair
-//     shares, lazily invalidated by chanGen) and completion scheduling
-//     (doneHeap over predicted finish times, lazily invalidated by
-//     tab.doneGen), replacing the linear scans. Both heaps are hand-rolled
-//     over value slices: container/heap's interface Push/Pop boxes every
-//     entry, and at 100k-flow churn those boxes were most of the solver's
-//     allocation bill.
+//     shares) and completion scheduling (doneHeap over predicted finish
+//     times), replacing the linear scans. Both invalidate lazily: an entry
+//     is stale once its channel's chanGen (or its flow's tab.doneGen) has
+//     moved, is skipped when it surfaces, and both heaps drop their stale
+//     entries in one O(heap) pass once these outnumber the live ones
+//     (shareHeap.dropStale, maybeCompactDoneHeap). Bottleneck selection
+//     also keeps a tie pool beside the heap (solveComponent): the live
+//     entries epsilon-equal to the current level, taken out of the heap
+//     once rather than popped and re-pushed at every step, so a level
+//     shared by hundreds of channels costs one pop per entry, not one per
+//     entry per step. Both heaps are hand-rolled over value slices:
+//     container/heap's interface Push/Pop boxes every entry, and at
+//     100k-flow churn those boxes were most of the solver's allocation
+//     bill.
 //
-// Determinism: region channels are initialized and frozen in an order
-// fixed by (share, channel ID) with the epsilon tie-break, and flows on a
-// bottleneck freeze in start (seq) order, so the float arithmetic — and
-// therefore rates, XmitWait attribution and event timing — is
-// reproducible.
+// Determinism: each step freezes the smallest channel ID among the live
+// shares epsilon-equal to the minimum, a function of the live shares alone
+// (not of heap layout or pool order), and flows on a bottleneck freeze in
+// start (seq) order, so the float arithmetic — and therefore rates,
+// XmitWait attribution and event timing — is reproducible.
 
 // chanSlot is one entry of a channel's flow membership list; hop is the
 // flow's path index for this channel, so a swap-remove can repair the
@@ -111,6 +119,19 @@ func (h shareHeap) init() {
 	for i := len(h)/2 - 1; i >= 0; i-- {
 		h.down(i)
 	}
+}
+
+// dropStale removes every entry whose channel has moved on since it was
+// pushed, in one pass, and restores the heap order.
+func (h *shareHeap) dropStale(chanGen []uint32) {
+	live := (*h)[:0]
+	for _, e := range *h {
+		if e.gen == chanGen[e.c] {
+			live = append(live, e)
+		}
+	}
+	*h = live
+	h.init()
 }
 
 // doneEntry is a predicted flow completion; stale entries are recognized

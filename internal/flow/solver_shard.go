@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"math"
 	"runtime"
 
 	"github.com/hpcsim/t2hx/internal/sim"
@@ -58,12 +59,16 @@ type component struct {
 }
 
 // solverScratch is one worker's private progressive-filling scratch: the
-// bottleneck share heap, the epsilon-tie candidate buffer and the freeze
-// set. Sequential solves use scratches[0]; SetWorkers sizes the slice.
+// bottleneck share heap, the pool of epsilon-tied bottleneck candidates
+// and the freeze set. Sequential solves use scratches[0]; SetWorkers
+// sizes the slice.
 type solverScratch struct {
-	shareHeap  shareHeap
-	tieScratch []shareEntry
-	freeze     []int32
+	shareHeap shareHeap
+	tiePool   []shareEntry
+	freeze    []int32
+	// live counts the component's channels that still carry unfrozen
+	// flows, the bound on live heap entries that gates compaction.
+	live int
 }
 
 // shardMinFlows gates parallel dispatch: a dirty region with fewer total
@@ -210,57 +215,79 @@ func (n *Network) solveComponent(comp *component, sc *solverScratch, now sim.Tim
 	for _, idx := range flows {
 		t.rate[idx] = -1 // unfrozen
 	}
+	// Bottleneck selection. The level is the minimum live share; every
+	// live share sharesEqual to it forms the tie window, and the window's
+	// smallest channel ID freezes, so last-ulp share differences cannot
+	// flip the choice. Uniform traffic over equal capacities puts hundreds
+	// of channels in one window, so the window lives in a pool instead of
+	// being popped and re-pushed at every step: an entry enters the pool
+	// once and leaves when its channel freezes or changes (chanGen moves)
+	// or when a lower level pushes it out of the window. Stale heap
+	// entries are popped as they surface, and dropped in one pass once
+	// the heap holds more than twice as many entries as there are live
+	// channels, plus 64 (the maybeCompactDoneHeap pattern).
+	pool := sc.tiePool[:0]
+	sc.live = len(*h)
 	remaining := len(flows)
 	for remaining > 0 {
-		e, ok := sc.popValidShare(n)
-		if !ok {
-			panic("flow: unfrozen flows but no bottleneck channel")
+		level := math.Inf(1)
+		live := pool[:0]
+		for _, e := range pool {
+			if e.gen == n.chanGen[e.c] {
+				live = append(live, e)
+				if e.share < level {
+					level = e.share
+				}
+			}
 		}
-		// Epsilon tie-break: gather every live candidate whose share is
-		// equal to the minimum within tolerance and freeze the smallest
-		// channel ID, so last-ulp share differences cannot flip the
-		// bottleneck choice. Candidates are held aside and re-queued
-		// after the choice (re-queueing inside the scan would just pop
-		// the same minimum again).
-		best := e
-		ties := sc.tieScratch[:0]
+		pool = live
+		for len(*h) > 0 && (*h)[0].gen != n.chanGen[(*h)[0].c] {
+			h.pop()
+		}
+		if len(*h) > 0 && (*h)[0].share < level {
+			level = (*h)[0].share
+			// A level below the pool's can leave pool entries outside
+			// the window: return them to the heap.
+			in := pool[:0]
+			for _, e := range pool {
+				if sharesEqual(e.share, level) {
+					in = append(in, e)
+				} else {
+					h.push(e)
+				}
+			}
+			pool = in
+		}
 		for len(*h) > 0 {
 			top := (*h)[0]
 			if top.gen != n.chanGen[top.c] {
 				h.pop()
 				continue
 			}
-			if !sharesEqual(top.share, e.share) {
+			if !sharesEqual(top.share, level) {
 				break
 			}
-			h.pop()
-			if top.c < best.c {
-				ties = append(ties, best)
-				best = top
-			} else {
-				ties = append(ties, top)
+			pool = append(pool, h.pop())
+		}
+		if len(pool) == 0 {
+			panic("flow: unfrozen flows but no bottleneck channel")
+		}
+		best := 0
+		for i := range pool {
+			if pool[i].c < pool[best].c {
+				best = i
 			}
 		}
-		remaining -= n.freezeChannel(sc, best.c, best.share)
-		for _, tie := range ties {
-			if tie.gen == n.chanGen[tie.c] {
-				sc.shareHeap.push(tie)
-			}
-		}
-		sc.tieScratch = ties[:0]
-	}
-}
-
-// popValidShare pops heap entries until one reflects current state.
-func (sc *solverScratch) popValidShare(n *Network) (shareEntry, bool) {
-	h := &sc.shareHeap
-	for len(*h) > 0 {
-		e := h.pop()
-		if e.gen == n.chanGen[e.c] {
-			return e, true
+		bott := pool[best]
+		last := len(pool) - 1
+		pool[best] = pool[last]
+		pool = pool[:last]
+		remaining -= n.freezeChannel(sc, bott.c, bott.share)
+		if len(*h) > 2*sc.live+64 {
+			h.dropStale(n.chanGen)
 		}
 	}
-	return shareEntry{}, false
+	sc.tiePool = pool[:0]
 }
 
 // freezeChannel freezes every unfrozen flow crossing bott at share (in
@@ -291,6 +318,9 @@ func (n *Network) freezeChannel(sc *solverScratch, bott topo.ChannelID, share fl
 				n.residual[c] = 0
 			}
 			n.unfrozenCnt[c]--
+			if n.unfrozenCnt[c] == 0 {
+				sc.live--
+			}
 			n.chanGen[c]++
 		}
 	}
