@@ -476,8 +476,34 @@ func BenchmarkSweepParallel(b *testing.B) {
 // HyperX, cold (a full engine run per op) versus through the content-
 // addressed TableCache (hit + rebind per op). The builds/s gap is what the
 // cache saves every worker that requests an already-built (topology, mask,
-// engine) key.
+// engine) key. The hxmin/hxnm rows build cold on a 12x8 HyperX with T=32:
+// with 32 terminal ports ahead of each switch's 18 switch links, a table
+// build that scans ports per (switch, LID) pair shows there, where the 6x4
+// T=4 shape hides it.
 func BenchmarkTablesBuild(b *testing.B) {
+	hxEngines := []struct {
+		name string
+		run  func(hx *topo.HyperX) (*route.Tables, error)
+	}{
+		{"hxmin", func(hx *topo.HyperX) (*route.Tables, error) { return route.HXMin(hx, 0) }},
+		{"hxnm", func(hx *topo.HyperX) (*route.Tables, error) { return route.HXNonMin(hx, 0, 8) }},
+	}
+	for _, eng := range hxEngines {
+		eng := eng
+		b.Run(eng.name+"/cold", func(b *testing.B) {
+			hx := topo.NewHyperX(topo.HyperXConfig{
+				S: []int{12, 8}, T: 32,
+				Bandwidth: topo.QDRBandwidth, Latency: topo.QDRLinkLatency,
+			})
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := eng.run(hx); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "builds/s")
+		})
+	}
 	engines := []struct {
 		name string
 		lmc  uint8

@@ -1,7 +1,8 @@
 package route
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"github.com/hpcsim/t2hx/internal/topo"
 )
@@ -39,6 +40,11 @@ type CDG struct {
 	// AddPath scratch.
 	fabric []topo.ChannelID
 	added  [][2]topo.ChannelID
+
+	// AddEdge reorder scratch: the affected regions and their order slots.
+	deltaF, deltaB []topo.ChannelID
+	nodesScratch   []topo.ChannelID
+	slotsScratch   []int32
 }
 
 // NewCDG returns an empty channel dependency graph.
@@ -46,14 +52,20 @@ func NewCDG() *CDG {
 	return &CDG{}
 }
 
-// grow extends the per-channel arrays to cover c.
+// grow extends the per-channel arrays to cover c, at least doubling them.
 func (g *CDG) grow(c topo.ChannelID) {
-	for int(c) >= len(g.ord) {
-		g.ord = append(g.ord, -1)
-		g.succ = append(g.succ, nil)
-		g.pred = append(g.pred, nil)
-		g.seen = append(g.seen, 0)
+	old := len(g.ord)
+	if int(c) < old {
+		return
 	}
+	n := max(int(c)+1, 2*old)
+	g.ord = slices.Grow(g.ord, n-old)[:n]
+	for i := old; i < n; i++ {
+		g.ord[i] = -1
+	}
+	g.succ = slices.Grow(g.succ, n-old)[:n]
+	g.pred = slices.Grow(g.pred, n-old)[:n]
+	g.seen = slices.Grow(g.seen, n-old)[:n]
 }
 
 func (g *CDG) ensure(c topo.ChannelID) {
@@ -121,13 +133,13 @@ func (g *CDG) AddEdge(u, v topo.ChannelID) bool {
 }
 
 // dfsF collects nodes reachable from v with order <= ub. Reaching order ==
-// ub means reaching u: a cycle. The returned slice aliases nothing and is
-// freshly built per call (it feeds reorder, which sorts it in place).
+// ub means reaching u: a cycle. The returned slice is the g.deltaF scratch
+// (it feeds reorder, which sorts it in place).
 func (g *CDG) dfsF(v topo.ChannelID, ub int32) ([]topo.ChannelID, bool) {
 	g.epoch++
 	g.seen[v] = g.epoch
 	g.stack = append(g.stack[:0], v)
-	var out []topo.ChannelID
+	out := g.deltaF[:0]
 	for len(g.stack) > 0 {
 		n := g.stack[len(g.stack)-1]
 		g.stack = g.stack[:len(g.stack)-1]
@@ -135,6 +147,7 @@ func (g *CDG) dfsF(v topo.ChannelID, ub int32) ([]topo.ChannelID, bool) {
 		for _, m := range g.succ[n] {
 			o := g.ord[m]
 			if o == ub {
+				g.deltaF = out
 				return nil, true // found u: cycle
 			}
 			if o < ub && g.seen[m] != g.epoch {
@@ -143,15 +156,17 @@ func (g *CDG) dfsF(v topo.ChannelID, ub int32) ([]topo.ChannelID, bool) {
 			}
 		}
 	}
+	g.deltaF = out
 	return out, false
 }
 
-// dfsB collects nodes reaching u with order >= lb.
+// dfsB collects nodes reaching u with order >= lb into the g.deltaB
+// scratch.
 func (g *CDG) dfsB(u topo.ChannelID, lb int32) []topo.ChannelID {
 	g.epoch++
 	g.seen[u] = g.epoch
 	g.stack = append(g.stack[:0], u)
-	var out []topo.ChannelID
+	out := g.deltaB[:0]
 	for len(g.stack) > 0 {
 		n := g.stack[len(g.stack)-1]
 		g.stack = g.stack[:len(g.stack)-1]
@@ -163,23 +178,27 @@ func (g *CDG) dfsB(u topo.ChannelID, lb int32) []topo.ChannelID {
 			}
 		}
 	}
+	g.deltaB = out
 	return out
 }
 
 // reorder merges the affected regions so that every deltaB node precedes
-// every deltaF node, reusing the union of their order slots.
+// every deltaF node, reusing the union of their order slots. Orders are
+// distinct, so the sorts have one result whatever the algorithm.
 func (g *CDG) reorder(deltaF, deltaB []topo.ChannelID) {
-	sort.Slice(deltaB, func(i, j int) bool { return g.ord[deltaB[i]] < g.ord[deltaB[j]] })
-	sort.Slice(deltaF, func(i, j int) bool { return g.ord[deltaF[i]] < g.ord[deltaF[j]] })
-	nodes := append(append([]topo.ChannelID{}, deltaB...), deltaF...)
-	slots := make([]int32, 0, len(nodes))
+	byOrd := func(a, b topo.ChannelID) int { return cmp.Compare(g.ord[a], g.ord[b]) }
+	slices.SortFunc(deltaB, byOrd)
+	slices.SortFunc(deltaF, byOrd)
+	nodes := append(append(g.nodesScratch[:0], deltaB...), deltaF...)
+	slots := g.slotsScratch[:0]
 	for _, n := range nodes {
 		slots = append(slots, g.ord[n])
 	}
-	sort.Slice(slots, func(i, j int) bool { return slots[i] < slots[j] })
+	slices.Sort(slots)
 	for i, n := range nodes {
 		g.ord[n] = slots[i]
 	}
+	g.nodesScratch, g.slotsScratch = nodes, slots
 }
 
 // AddPath inserts all consecutive dependencies of a channel sequence,
@@ -197,6 +216,12 @@ func (g *CDG) AddPath(path []topo.ChannelID, isSwitchChannel func(topo.ChannelID
 		}
 	}
 	g.fabric = fabric
+	return g.addFabricPath(fabric)
+}
+
+// addFabricPath is AddPath for a sequence that holds only switch-to-switch
+// channels.
+func (g *CDG) addFabricPath(fabric []topo.ChannelID) bool {
 	added := g.added[:0]
 	for i := 0; i+1 < len(fabric); i++ {
 		u, v := fabric[i], fabric[i+1]
@@ -311,6 +336,56 @@ func SwitchChannelPred(g *topo.Graph) func(topo.ChannelID) bool {
 	}
 }
 
+// lanePlacer is the DFSSSP virtual-lane assignment as a stream: every path
+// offered goes to the first lane whose CDG stays acyclic with it, and a
+// new lane opens while fewer than maxVL exist. The lane passes walk their
+// paths one at a time through a reused buffer and offer each as it comes,
+// so no pass holds its path set; the order of the offers alone decides the
+// lanes.
+type lanePlacer struct {
+	layers   []*CDG
+	maxVL    int
+	channels int // channel count of the graph, to size each lane's CDG once
+}
+
+func newLanePlacer(g *topo.Graph, maxVL int) *lanePlacer {
+	p := &lanePlacer{maxVL: maxVL, channels: 2 * len(g.Links)}
+	p.addLayer()
+	return p
+}
+
+func (p *lanePlacer) addLayer() *CDG {
+	layer := NewCDG()
+	if p.channels > 0 {
+		layer.grow(topo.ChannelID(p.channels - 1))
+	}
+	p.layers = append(p.layers, layer)
+	return layer
+}
+
+// place adds a path, given as its switch-to-switch channels, to the first
+// lane that stays acyclic and returns the lane, or -1 when no lane within
+// maxVL takes it.
+func (p *lanePlacer) place(fabric []topo.ChannelID) int {
+	for vl, layer := range p.layers {
+		if layer.addFabricPath(fabric) {
+			return vl
+		}
+	}
+	if len(p.layers) >= p.maxVL {
+		return -1
+	}
+	if !p.addLayer().addFabricPath(fabric) {
+		// A single path can never self-deadlock unless it repeats
+		// channels; treat as failure.
+		return -1
+	}
+	return len(p.layers) - 1
+}
+
+// lanes reports the number of lanes opened so far (at least 1).
+func (p *lanePlacer) lanes() int { return len(p.layers) }
+
 // AssignLayers distributes paths over virtual lanes so that each lane's CDG
 // is acyclic — the DFSSSP scheme. paths may contain nil entries (skipped).
 // assign is called with the path index and the chosen lane. It returns the
@@ -318,31 +393,23 @@ func SwitchChannelPred(g *topo.Graph) func(topo.ChannelID) bool {
 // not be placed within maxVL lanes (-1 on success).
 func AssignLayers(g *topo.Graph, paths [][]topo.ChannelID, maxVL int, assign func(i, vl int)) (lanes int, failed int) {
 	isSwitch := SwitchChannelPred(g)
-	layers := []*CDG{NewCDG()}
+	pl := newLanePlacer(g, maxVL)
+	var fabric []topo.ChannelID
 	for i, p := range paths {
 		if p == nil {
 			continue
 		}
-		placed := false
-		for vl := 0; vl < len(layers); vl++ {
-			if layers[vl].AddPath(p, isSwitch) {
-				assign(i, vl)
-				placed = true
-				break
+		fabric = fabric[:0]
+		for _, c := range p {
+			if isSwitch(c) {
+				fabric = append(fabric, c)
 			}
 		}
-		if !placed {
-			if len(layers) >= maxVL {
-				return len(layers), i
-			}
-			layers = append(layers, NewCDG())
-			if !layers[len(layers)-1].AddPath(p, isSwitch) {
-				// A single path can never self-deadlock unless it repeats
-				// channels; treat as failure.
-				return len(layers), i
-			}
-			assign(i, len(layers)-1)
+		vl := pl.place(fabric)
+		if vl < 0 {
+			return pl.lanes(), i
 		}
+		assign(i, vl)
 	}
-	return len(layers), -1
+	return pl.lanes(), -1
 }

@@ -37,30 +37,33 @@ import (
 func HXMin(hx *topo.HyperX, lmc uint8) (*Tables, error) {
 	t := newTables(hx.Graph, "hxmin", lmc, nil)
 	g := hx.Graph
+	x := newHXLattice(hx)
 	cw := NewChannelWeights(g)
 	span := 1 << lmc
+	switches := g.Switches()
 	for di, dst := range g.Terminals() {
 		dstSw := g.SwitchOf(dst)
 		if dstSw < 0 {
 			continue // detached destination: its LIDs stay unreachable
 		}
-		dc := hx.Coord(dstSw)
+		dsi := g.SwitchIndex(dstSw)
+		dc := x.coord[dsi]
 		for off := 0; off < span; off++ {
 			lid := t.BaseLID[di] + LID(off)
 			installHyperXDelivery(t, lid, dstSw, dst)
-			for _, s := range g.Switches() {
-				if s == dstSw {
+			for si, s := range switches {
+				if si == dsi {
 					continue
 				}
-				sc := hx.Coord(s)
+				sc := x.coord[si]
 				d := lowestDiffDim(sc, dc)
-				v := lineNeighbor(hx, sc, d, dc[d])
-				if c := bestLiveChannel(g, cw, s, v); c != NoChannel {
+				vi := x.lineNeighbor(si, d, dc[d])
+				if c := bestLiveChannel(cw, x.row(si), vi); c != NoChannel {
 					t.SetNextHop(s, lid, c)
 					cw.Add(c, 1)
 					continue
 				}
-				if c, c2 := hxminEscape(hx, cw, s, v, sc[d], dc[d], d); c != NoChannel {
+				if c, c2 := hxminEscape(x, cw, si, vi, sc[d], dc[d], d); c != NoChannel {
 					t.SetNextHop(s, lid, c)
 					cw.Add(c, 1)
 					cw.Add(c2, 1)
@@ -78,7 +81,8 @@ func HXMin(hx *topo.HyperX, lmc uint8) (*Tables, error) {
 }
 
 // hxminEscape picks the two-hop in-line detour s -> m -> v with the
-// low-coordinate restriction coord(m) < min(coord(s), coord(v)).
+// low-coordinate restriction coord(m) < min(coord(s), coord(v)); s, v and
+// m are switch indexes.
 //
 // Deadlock argument: within one line, every dependency this rule creates
 // between channels (x->y) and (y->z) has coord(y) < coord(x). A dependency
@@ -91,19 +95,18 @@ func HXMin(hx *topo.HyperX, lmc uint8) (*Tables, error) {
 // It returns the first hop's channel and the second hop's channel (for
 // weight accounting), or NoChannel when no restricted intermediate has both
 // links live.
-func hxminEscape(hx *topo.HyperX, cw *ChannelWeights, s, v topo.NodeID, sCoord, dCoord, d int) (topo.ChannelID, topo.ChannelID) {
+func hxminEscape(x *hxLattice, cw *ChannelWeights, s, v, sCoord, dCoord, d int) (topo.ChannelID, topo.ChannelID) {
 	low := sCoord
 	if dCoord < low {
 		low = dCoord
 	}
-	sc := hx.Coord(s)
 	for m := low - 1; m >= 0; m-- {
-		mSw := lineNeighbor(hx, sc, d, m)
-		c1 := bestLiveChannel(hx.Graph, cw, s, mSw)
+		mi := x.lineNeighbor(s, d, m)
+		c1 := bestLiveChannel(cw, x.row(s), mi)
 		if c1 == NoChannel {
 			continue
 		}
-		c2 := bestLiveChannel(hx.Graph, cw, mSw, v)
+		c2 := bestLiveChannel(cw, x.row(mi), v)
 		if c2 == NoChannel {
 			continue
 		}
@@ -122,46 +125,43 @@ func hxminEscape(hx *topo.HyperX, cw *ChannelWeights, s, v topo.NodeID, sCoord, 
 func HXNonMin(hx *topo.HyperX, lmc uint8, maxVL int) (*Tables, error) {
 	t := newTables(hx.Graph, "hxnm", lmc, nil)
 	g := hx.Graph
+	x := newHXLattice(hx)
 	cw := NewChannelWeights(g)
 	span := 1 << lmc
-	dist := make([]int32, g.NumSwitches())
-	queue := make([]topo.NodeID, 0, g.NumSwitches())
+	switches := g.Switches()
+	dist := make([]int32, len(switches))
+	queue := make([]int, 0, len(switches))
 	for di, dst := range g.Terminals() {
 		dstSw := g.SwitchOf(dst)
 		if dstSw < 0 {
 			continue
 		}
-		dc := hx.Coord(dstSw)
+		dsi := g.SwitchIndex(dstSw)
+		dc := x.coord[dsi]
 		// BFS hop distances toward dstSw over live switch links.
 		for i := range dist {
 			dist[i] = -1
 		}
-		dist[g.SwitchIndex(dstSw)] = 0
-		queue = append(queue[:0], dstSw)
+		dist[dsi] = 0
+		queue = append(queue[:0], dsi)
 		for head := 0; head < len(queue); head++ {
 			cur := queue[head]
-			for _, l := range g.Nodes[cur].Ports {
-				if l == nil || l.Down {
+			for _, e := range x.row(cur) {
+				if dist[e.nbr] >= 0 {
 					continue
 				}
-				o := l.Other(cur)
-				oi := g.SwitchIndex(o)
-				if oi < 0 || dist[oi] >= 0 {
-					continue
-				}
-				dist[oi] = dist[g.SwitchIndex(cur)] + 1
-				queue = append(queue, o)
+				dist[e.nbr] = dist[cur] + 1
+				queue = append(queue, e.nbr)
 			}
 		}
 		for off := 0; off < span; off++ {
 			lid := t.BaseLID[di] + LID(off)
 			installHyperXDelivery(t, lid, dstSw, dst)
-			for _, s := range g.Switches() {
-				si := g.SwitchIndex(s)
-				if s == dstSw || dist[si] < 0 {
+			for si, s := range switches {
+				if si == dsi || dist[si] < 0 {
 					continue // the destination, or a switch the fabric lost
 				}
-				c := hxnmNextHop(hx, cw, dist, s, dc)
+				c := hxnmNextHop(x, cw, dist, si, dc)
 				if c != NoChannel {
 					t.SetNextHop(s, lid, c)
 					cw.Add(c, 1)
@@ -176,7 +176,7 @@ func HXNonMin(hx *topo.HyperX, lmc uint8, maxVL int) (*Tables, error) {
 	return t, nil
 }
 
-// hxnmNextHop ranks s's live strictly-closer neighbors toward the
+// hxnmNextHop ranks switch s's live strictly-closer neighbors toward the
 // destination coordinates and returns the channel of the best one. Ranks,
 // best first: the minimal hop of the lowest uncorrected dimension; a
 // restricted low-coordinate escape in that dimension; any other hop in that
@@ -184,24 +184,17 @@ func HXNonMin(hx *topo.HyperX, lmc uint8, maxVL int) (*Tables, error) {
 // on channel weight, then channel ID — deterministic for a given build
 // order. Distance strictly decreases every hop, so the tables are loop-free
 // by construction.
-func hxnmNextHop(hx *topo.HyperX, cw *ChannelWeights, dist []int32, s topo.NodeID, dc []int) topo.ChannelID {
-	g := hx.Graph
-	si := g.SwitchIndex(s)
-	sc := hx.Coord(s)
+func hxnmNextHop(x *hxLattice, cw *ChannelWeights, dist []int32, s int, dc []int) topo.ChannelID {
+	sc := x.coord[s]
 	d := lowestDiffDim(sc, dc)
 	best := NoChannel
 	bestRank := 0
 	bestWeight := 0.0
-	for _, l := range g.Nodes[s].Ports {
-		if l == nil || l.Down {
+	for _, e := range x.row(s) {
+		if dist[e.nbr] != dist[s]-1 {
 			continue
 		}
-		w := l.Other(s)
-		wi := g.SwitchIndex(w)
-		if wi < 0 || dist[wi] != dist[si]-1 {
-			continue
-		}
-		wc := hx.Coord(w)
+		wc := x.coord[e.nbr]
 		dd := lowestDiffDim(sc, wc) // the single dimension the hop moves in
 		var rank int
 		switch {
@@ -216,7 +209,7 @@ func hxnmNextHop(hx *topo.HyperX, cw *ChannelWeights, dist []int32, s topo.NodeI
 		default:
 			rank = 4
 		}
-		c := l.Channel(s)
+		c := e.ch
 		weight := cw.Get(c)
 		if best == NoChannel || rank < bestRank ||
 			(rank == bestRank && (weight < bestWeight || (weight == bestWeight && c < best))) {
@@ -248,29 +241,85 @@ func lowestDiffDim(a, b []int) int {
 	panic("route: identical coordinates")
 }
 
-// lineNeighbor returns the switch matching sc except for coordinate v in
-// dimension d.
-func lineNeighbor(hx *topo.HyperX, sc []int, d, v int) topo.NodeID {
-	c := make([]int, len(sc))
-	copy(c, sc)
-	c[d] = v
-	return hx.SwitchAt(c...)
+// hxLattice is the per-build view the fault-tolerant HyperX engines route
+// over, keyed by switch index: lattice coordinates and strides for
+// allocation-free line arithmetic, and the switch-link index — each
+// switch's live switch-to-switch channels, read from the links' Down flags
+// once per build, so a next-hop lookup scans the switch's radix instead of
+// all of its ports (terminal ports first).
+type hxLattice struct {
+	coord   [][]int // coord[s] is switch s's lattice position
+	strides []int   // row-major strides: switch indexes are lattice indexes
+	off     []int   // row s of links is links[off[s]:off[s+1]]
+	links   []swLink
 }
 
-// bestLiveChannel returns the lowest-(weight, ID) live channel from a to b,
-// or NoChannel. With K parallel links per dimension this is what spreads
-// destinations across the parallels.
-func bestLiveChannel(g *topo.Graph, cw *ChannelWeights, a, b topo.NodeID) topo.ChannelID {
+// swLink is one live switch-to-switch channel of the index.
+type swLink struct {
+	nbr int // switch index of the far end
+	ch  topo.ChannelID
+}
+
+func newHXLattice(hx *topo.HyperX) *hxLattice {
+	g := hx.Graph
+	shape := hx.Cfg.S
+	ns := g.NumSwitches()
+	x := &hxLattice{
+		coord:   make([][]int, ns),
+		strides: make([]int, len(shape)),
+		off:     make([]int, ns+1),
+	}
+	stride := 1
+	for d := len(shape) - 1; d >= 0; d-- {
+		x.strides[d] = stride
+		stride *= shape[d]
+	}
+	for si, s := range g.Switches() {
+		c := hx.Coord(s)
+		x.coord[si] = c
+		lat := 0
+		for d, v := range c {
+			lat += v * x.strides[d]
+		}
+		if lat != si {
+			// BuildHyperX creates the switches in row-major order.
+			panic(fmt.Sprintf("route: switch %d sits at lattice index %d", si, lat))
+		}
+		for _, l := range g.Nodes[s].Ports {
+			if l == nil || l.Down {
+				continue
+			}
+			if oi := g.SwitchIndex(l.Other(s)); oi >= 0 {
+				x.links = append(x.links, swLink{oi, l.Channel(s)})
+			}
+		}
+		x.off[si+1] = len(x.links)
+	}
+	return x
+}
+
+// lineNeighbor returns the switch matching switch s's coordinates except
+// for coordinate v in dimension d.
+func (x *hxLattice) lineNeighbor(s, d, v int) int {
+	return s + (v-x.coord[s][d])*x.strides[d]
+}
+
+// row returns switch s's live switch-to-switch channels.
+func (x *hxLattice) row(s int) []swLink { return x.links[x.off[s]:x.off[s+1]] }
+
+// bestLiveChannel returns the lowest-(weight, ID) channel of row toward
+// switch nbr, or NoChannel when no live one exists. With K parallel links
+// per dimension this is what spreads destinations across the parallels.
+func bestLiveChannel(cw *ChannelWeights, row []swLink, nbr int) topo.ChannelID {
 	best := NoChannel
 	bestWeight := 0.0
-	for _, l := range g.Nodes[a].Ports {
-		if l == nil || l.Down || l.Other(a) != b {
+	for _, e := range row {
+		if e.nbr != nbr {
 			continue
 		}
-		c := l.Channel(a)
-		w := cw.Get(c)
-		if best == NoChannel || w < bestWeight || (w == bestWeight && c < best) {
-			best, bestWeight = c, w
+		w := cw.Get(e.ch)
+		if best == NoChannel || w < bestWeight || (w == bestWeight && e.ch < best) {
+			best, bestWeight = e.ch, w
 		}
 	}
 	return best
@@ -292,35 +341,30 @@ func assignLanesTolerant(t *Tables, maxVL int) (int, error) {
 	// whole group. The former walk over all terminal pairs was quadratic
 	// in terminals: at 32832 terminals it enumerated over a billion paths
 	// for a set with |switches| x |LIDs| distinct members.
+	attached := make([]bool, len(terms))
 	bySwitch := make([][]topo.NodeID, g.NumSwitches())
-	for _, tm := range terms {
+	for i, tm := range terms {
 		if sw := g.SwitchOf(tm); sw >= 0 {
+			attached[i] = true
 			si := g.SwitchIndex(sw)
 			bySwitch[si] = append(bySwitch[si], tm)
 		}
 	}
-	type key struct {
-		sw  int // switch index of the source group
-		lid LID
-	}
-	var keys []key
-	var paths [][]topo.ChannelID
-	unreachable := 0
-	for si, group := range bySwitch {
+	pl := newLanePlacer(g, maxVL)
+	var buf []topo.ChannelID // the walked path, reused across pairs
+	unreachable, n, failed := 0, 0, -1
+	for _, group := range bySwitch {
 		if len(group) == 0 {
 			continue
 		}
 		src := group[0]
 		for di, dst := range terms {
-			if g.SwitchOf(dst) < 0 {
+			if !attached[di] || dst == src {
 				continue
 			}
 			for off := 0; off < span; off++ {
 				lid := t.BaseLID[di] + LID(off)
-				if dst == src {
-					continue
-				}
-				p, err := t.Path(src, lid)
+				p, err := t.appendPath(buf[:0], src, lid)
 				if err != nil {
 					if errors.Is(err, ErrNoRoute) {
 						// Count what the terminal-pair walk would have:
@@ -330,25 +374,30 @@ func assignLanesTolerant(t *Tables, maxVL int) (int, error) {
 					}
 					return unreachable, fmt.Errorf("route: %s lane assignment: %w", t.Engine, err)
 				}
-				keys = append(keys, key{si, lid})
-				paths = append(paths, p)
+				buf = p
+				// Past a lane failure the walk goes on only to count the
+				// paths and to report a broken path first.
+				if failed < 0 {
+					switch vl := pl.place(p[1 : len(p)-1]); {
+					case vl < 0:
+						failed = n
+					case vl > 0:
+						// SL defaults to 0; skipping the lane-0 write keeps
+						// single-lane engines from materializing the
+						// O(terminals^2) SL table.
+						for _, src := range group {
+							t.SetSL(src, lid, uint8(vl))
+						}
+					}
+				}
+				n++
 			}
 		}
 	}
-	lanes, failed := AssignLayers(g, paths, maxVL, func(i, vl int) {
-		if vl == 0 {
-			// SL defaults to 0; skipping the write keeps single-lane
-			// engines from materializing the O(terminals^2) SL table.
-			return
-		}
-		for _, src := range bySwitch[keys[i].sw] {
-			t.SetSL(src, keys[i].lid, uint8(vl))
-		}
-	})
 	if failed >= 0 {
 		return unreachable, fmt.Errorf("route: %s needs more than %d virtual lanes (failed at path %d of %d)",
-			t.Engine, maxVL, failed, len(paths))
+			t.Engine, maxVL, failed, n)
 	}
-	t.NumVL = lanes
+	t.NumVL = pl.lanes()
 	return unreachable, nil
 }

@@ -199,3 +199,32 @@ func TestCDGCanReach(t *testing.T) {
 		t.Error("unknown node is unreachable")
 	}
 }
+
+// The fault-tolerant HyperX engines must build in O(switches × LIDs) time
+// with allocations independent of that product: the switch-link index,
+// the lattice stride arithmetic and the streamed lane pass allocate per
+// build, per switch or per channel, never per (switch, LID) pair. An
+// allocation per pair (a coordinate copy for the line neighbor, a fresh
+// slice per walked path) puts a build far above the bound.
+func TestHyperXEnginesAllocationBound(t *testing.T) {
+	hx := topo.NewHyperX(topo.HyperXConfig{S: []int{12, 8}, T: 32, Bandwidth: topo.QDRBandwidth, Latency: topo.QDRLinkLatency})
+	pairs := hx.NumSwitches() * hx.NumTerminals()
+	engines := []struct {
+		name  string
+		build func() (*Tables, error)
+	}{
+		{"hxmin", func() (*Tables, error) { return HXMin(hx, 0) }},
+		{"hxnm", func() (*Tables, error) { return HXNonMin(hx, 0, 8) }},
+	}
+	for _, e := range engines {
+		var err error
+		allocs := testing.AllocsPerRun(1, func() { _, err = e.build() })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if allocs >= float64(pairs)/10 {
+			t.Errorf("%s: %.0f allocations per build on 12x8 T=32, want < %d ((switches x LIDs) / 10)", e.name, allocs, pairs/10)
+		}
+		t.Logf("%s: %.0f allocations per build (bound %d)", e.name, allocs, pairs/10)
+	}
+}

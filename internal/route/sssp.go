@@ -147,45 +147,53 @@ func installLFT(t *Tables, lid LID, dstSw, dst topo.NodeID, sp *SPTree) {
 
 // AssignVLs walks every (src, dst-LID) path and distributes them over
 // virtual lanes with acyclic per-lane CDGs (the DFSSSP deadlock-avoidance
-// pass, reused by PARX).
+// pass, reused by PARX). Paths stream through one buffer into the lane
+// placer in source, destination, LID order.
 func AssignVLs(t *Tables, maxVL int) error {
 	g := t.G
 	terms := g.Terminals()
 	span := 1 << t.LMC
-	type key struct {
-		src topo.NodeID
-		lid LID
+	attached := make([]bool, len(terms))
+	for i, tm := range terms {
+		attached[i] = g.SwitchOf(tm) >= 0
 	}
-	var keys []key
-	var paths [][]topo.ChannelID
-	for _, src := range terms {
-		if g.SwitchOf(src) < 0 {
+	pl := newLanePlacer(g, maxVL)
+	var buf []topo.ChannelID // the walked path, reused across pairs
+	n, failed := 0, -1
+	for si, src := range terms {
+		if !attached[si] {
 			continue // detached source cannot inject traffic
 		}
-		for di, dst := range terms {
-			if src == dst || g.SwitchOf(dst) < 0 {
+		for di := range terms {
+			if di == si || !attached[di] {
 				// Detached destinations have no LFT entries; their LIDs are
 				// unreachable, not deadlock-relevant.
 				continue
 			}
 			for off := 0; off < span; off++ {
 				lid := t.BaseLID[di] + LID(off)
-				p, err := t.Path(src, lid)
+				p, err := t.appendPath(buf[:0], src, lid)
 				if err != nil {
 					return fmt.Errorf("route: VL assignment: %w", err)
 				}
-				keys = append(keys, key{src, lid})
-				paths = append(paths, p)
+				buf = p
+				// Past a lane failure the walk goes on only to count the
+				// paths and to report a broken path first.
+				if failed < 0 {
+					if vl := pl.place(p[1 : len(p)-1]); vl >= 0 {
+						t.SetSL(src, lid, uint8(vl))
+					} else {
+						failed = n
+					}
+				}
+				n++
 			}
 		}
 	}
-	lanes, failed := AssignLayers(g, paths, maxVL, func(i, vl int) {
-		t.SetSL(keys[i].src, keys[i].lid, uint8(vl))
-	})
 	if failed >= 0 {
 		return fmt.Errorf("route: %s needs more than %d virtual lanes (failed at path %d of %d)",
-			t.Engine, maxVL, failed, len(paths))
+			t.Engine, maxVL, failed, n)
 	}
-	t.NumVL = lanes
+	t.NumVL = pl.lanes()
 	return nil
 }

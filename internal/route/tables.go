@@ -259,16 +259,23 @@ const MaxHops = 64
 // returns the channel sequence, including the injection and delivery
 // channels. It returns an error on unreachable LIDs or forwarding loops.
 func (t *Tables) Path(src topo.NodeID, lid LID) ([]topo.ChannelID, error) {
+	return t.appendPath(nil, src, lid)
+}
+
+// appendPath is Path appending the channels to path, so a pass over
+// millions of pairs can walk them all through one reused buffer. Every
+// channel between the first (injection) and the last (delivery) is a
+// switch-to-switch channel. On error the returned slice is nil.
+func (t *Tables) appendPath(path []topo.ChannelID, src topo.NodeID, lid LID) ([]topo.ChannelID, error) {
 	ownerIdx := t.OwnerOf(lid)
 	if ownerIdx < 0 {
 		return nil, fmt.Errorf("route: LID %d unassigned", lid)
 	}
 	dst := t.TermByIndex(ownerIdx)
 	if src == dst {
-		return nil, nil
+		return path, nil
 	}
 	g := t.G
-	var path []topo.ChannelID
 	// Injection.
 	sw := g.SwitchOf(src)
 	if sw < 0 {
