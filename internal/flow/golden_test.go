@@ -79,14 +79,11 @@ const (
 // only when the values are identical, not merely close.
 func bitsOf(v float64) string { return fmt.Sprintf("%016x", math.Float64bits(v)) }
 
-// runLoadedGolden replays one seed of the loaded shape and renders every
-// pinned value as text: completion times per (terminal, message), the rate
-// and bottleneck channel of every active flow at three mid-run instants,
-// per-channel XmitData/XmitWait, the HCA wait, and the recompute count.
-func runLoadedGolden(seed uint64) string {
+// runLoadedGolden replays one seed of the loaded shape; see runGolden for
+// what is pinned.
+func runLoadedGolden(seed uint64) (string, int) {
 	hx := topo.NewHyperX(topo.HyperXConfig{S: []int{4, 4}, T: 4, Bandwidth: goldenBW, Latency: 0})
-	g := hx.Graph
-	terms := g.Terminals()
+	terms := hx.Graph.Terminals()
 	r := sim.NewRand(seed)
 	dst := make([]int, len(terms)*goldenMsgs)
 	for i := range terms {
@@ -98,13 +95,71 @@ func runLoadedGolden(seed uint64) string {
 			dst[i*goldenMsgs+m] = d
 		}
 	}
+	nodeCaps := make([]float64, len(terms))
+	for i := range nodeCaps {
+		nodeCaps[i] = goldenNodeBW
+	}
+	return runGolden(seed, hx, nodeCaps, dst)
+}
 
+// runDisjointGolden replays the multi-component shape: a 4x4 HyperX with 2
+// terminals per switch, where switch (x, y) exchanges traffic only with
+// its neighbour (x^1, y), so the 8 switch pairs never share a channel and
+// settles re-solve several components. Two flows cross each inter-switch
+// channel and a node channel at 1.5x carries up to three, so link, deliver
+// and node channels all sit at a fair share near half the link bandwidth;
+// every capacity is then jittered by a few multiples of shareEps, which
+// puts shares of different components just inside and just outside each
+// other's tie windows. Solving the components as one region would move a
+// component's tie window to another component's level and freeze a
+// different bottleneck.
+func runDisjointGolden(seed uint64) (string, int) {
+	hx := topo.NewHyperX(topo.HyperXConfig{S: []int{4, 4}, T: 2, Bandwidth: goldenBW, Latency: 0})
+	g := hx.Graph
+	r := sim.NewRand(seed)
+	jitter := []float64{0, 0.4e-9, 0.8e-9, 1.5e-9, 3e-9}
+	near := func(v float64) float64 { return v * (1 + jitter[r.Intn(len(jitter))]) }
+	for _, l := range g.Links {
+		l.Bandwidth = near(goldenBW)
+	}
+	terms := g.Terminals()
+	nodeCaps := make([]float64, len(terms))
+	for i := range nodeCaps {
+		nodeCaps[i] = near(goldenNodeBW)
+	}
+	dst := make([]int, len(terms)*goldenMsgs)
+	for i, a := range terms {
+		coord := append([]int(nil), hx.Coord(g.SwitchOf(a))...)
+		coord[0] ^= 1
+		peers := g.TerminalsOf(hx.SwitchAt(coord...))
+		for m := 0; m < goldenMsgs; m++ {
+			dst[i*goldenMsgs+m] = g.TerminalIndex(peers[r.Intn(len(peers))])
+		}
+	}
+	return runGolden(seed, hx, nodeCaps, dst)
+}
+
+// runGolden runs every terminal's chain of goldenMsgs flows of goldenSize
+// bytes along host paths to dst (terminal index per (terminal, message)),
+// with one node channel per terminal at nodeCaps, counters attached, and
+// renders every pinned value as text: completion times per (terminal,
+// message), the rate and bottleneck channel of every active flow at three
+// mid-run instants, per-channel XmitData/XmitWait, the HCA wait, and the
+// recompute count. It also reports the most components one settle
+// re-solved among the settles just before the snapshot instants.
+func runGolden(seed uint64, hx *topo.HyperX, nodeCaps []float64, dst []int) (string, int) {
+	g := hx.Graph
 	eng := sim.NewEngine()
 	net := NewNetwork(eng, g)
 	net.SetSolver(SolverIncremental)
-	node0 := net.AddNodeChannels(len(terms), goldenNodeBW)
+	node0 := topo.ChannelID(len(net.caps))
+	for _, c := range nodeCaps {
+		net.AddNodeChannels(1, c)
+	}
 	cc := telemetry.NewChannelCounters(g)
 	net.SetCounters(cc)
+	maxComps := 0
+	eng.OnStep = func(sim.Time, int) { maxComps = max(maxComps, len(net.comps)) }
 	ids := make([]FlowID, len(dst))
 	doneAt := make([]sim.Time, len(dst))
 	var start func(i, m int)
@@ -117,7 +172,7 @@ func runLoadedGolden(seed uint64) string {
 			}
 		})
 	}
-	for i := range terms {
+	for i := range nodeCaps {
 		start(i, 0)
 	}
 
@@ -144,16 +199,35 @@ func runLoadedGolden(seed uint64) string {
 		fmt.Fprintf(&b, "chan %d %s %s\n", c, bitsOf(cc.XmitData[c]), bitsOf(float64(cc.XmitWait[c])))
 	}
 	fmt.Fprintf(&b, "hcawait %s\nrecomputes %d\n", bitsOf(float64(cc.HCAWait)), net.Recomputes)
-	return b.String()
+	return b.String(), max(maxComps, len(net.comps))
+}
+
+// goldenCases are the pinned runs: the loaded shape, which re-solves
+// essentially one spanning component per settle, on three seeds, and the
+// disjoint shape, whose settles re-solve several components at once.
+var goldenCases = []struct {
+	file      string
+	seed      uint64
+	run       func(seed uint64) (string, int)
+	wantComps int // least number of components some settle must re-solve
+}{
+	{"loaded_golden_seed1.txt", 1, runLoadedGolden, 1},
+	{"loaded_golden_seed2.txt", 2, runLoadedGolden, 1},
+	{"loaded_golden_seed3.txt", 3, runLoadedGolden, 1},
+	{"disjoint_golden_seed16.txt", 16, runDisjointGolden, 2},
 }
 
 // TestLoadedGolden holds the incremental solver to its recorded output on
-// the loaded shape, exactly: every pinned value is compared as float64
+// the golden shapes, exactly: every pinned value is compared as float64
 // bits. Runs under either build tag, since it selects the solver itself.
 func TestLoadedGolden(t *testing.T) {
-	for _, seed := range []uint64{1, 2, 3} {
-		got := runLoadedGolden(seed)
-		path := filepath.Join("testdata", fmt.Sprintf("loaded_golden_seed%d.txt", seed))
+	for _, gc := range goldenCases {
+		got, comps := gc.run(gc.seed)
+		if comps < gc.wantComps {
+			t.Fatalf("%s: at most %d components per settle, want some settle with >= %d",
+				gc.file, comps, gc.wantComps)
+		}
+		path := filepath.Join("testdata", gc.file)
 		if *updateGolden {
 			if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 				t.Fatal(err)
@@ -178,7 +252,7 @@ func TestLoadedGolden(t *testing.T) {
 				g = gl[i]
 			}
 			if w != g {
-				t.Fatalf("seed %d: %s line %d differs:\n want %q\n  got %q", seed, path, i+1, w, g)
+				t.Fatalf("%s line %d differs:\n want %q\n  got %q", path, i+1, w, g)
 			}
 		}
 	}
