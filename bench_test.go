@@ -734,56 +734,6 @@ func BenchmarkSolverChurn(b *testing.B) {
 	}
 }
 
-// BenchmarkSolverShard measures the sharded component re-solve (DESIGN.md
-// §12) at the 100k-flow churn workload across worker counts. The "local"
-// pattern is the shard-friendly shape: its flows split across 12 disjoint
-// switch-pair contention components, and each op churns one flow in every
-// component before a single settle, so the settle re-solves 12 independent
-// components — exactly what SetWorkers parallelizes. The "uniform" pattern
-// is the documented degenerate case: DFSSSP all-to-all traffic couples the
-// whole network into one spanning component, so worker counts cannot
-// change anything there (the pool is never even invoked) and its j-variants
-// should read flat. flows/s counts churned flows. Note 1-CPU runners read
-// ~1x at every j by construction, like bench-sweep.
-func BenchmarkSolverShard(b *testing.B) {
-	const nflows = 100000
-	for _, pattern := range []string{"local", "uniform"} {
-		pattern := pattern
-		b.Run(pattern, func(b *testing.B) {
-			for _, workers := range []int{1, 2, 4, 8} {
-				workers := workers
-				b.Run(fmt.Sprintf("flows=%d/j=%d", nflows, workers), func(b *testing.B) {
-					hx := benchHX()
-					paths := solverChurnPaths(b, hx, pattern, nflows)
-					eng := sim.NewEngine()
-					net := flow.NewNetwork(eng, hx.Graph)
-					net.SetWorkers(workers)
-					ids := make([]flow.FlowID, nflows)
-					for i, p := range paths {
-						ids[i] = net.Start(p, 1e15, func(sim.Time) {})
-					}
-					eng.RunUntil(0)
-					// Churn one flow per local component per op: paths cycle
-					// through the 12 pairs, so 12 consecutive indices touch 12
-					// distinct components.
-					const batch = 12
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						for k := 0; k < batch; k++ {
-							f := (i*batch + k) % nflows
-							net.Cancel(ids[f])
-							ids[f] = net.Start(paths[f], 1e15, func(sim.Time) {})
-						}
-						eng.RunUntil(0)
-					}
-					b.StopTimer()
-					b.ReportMetric(float64(b.N*batch)/b.Elapsed().Seconds(), "flows/s")
-				})
-			}
-		})
-	}
-}
-
 // BenchmarkFlowChurn measures the allocation cost of flow lifecycle churn:
 // with N long-lived concurrent flows resident, each op cancels one flow and
 // starts a replacement on the same path. Unlike BenchmarkSolverChurn (which

@@ -21,6 +21,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
 	"sort"
@@ -103,17 +104,17 @@ func main() {
 	}
 
 	if *baseline != "" {
-		compareBaseline(doc, *baseline, *warnPct, keep)
+		compareBaseline(os.Stderr, doc, *baseline, *warnPct, keep)
 	}
 }
 
 // compareBaseline diffs ns/op (lower is better) and every "/s"-suffixed
 // throughput metric (higher is better, e.g. the solver bench's flows/s)
 // per benchmark name against a committed document and prints the movers
-// to stderr. Regressions past warnPct get a WARNING prefix; benchmarks
+// to w. Regressions past warnPct get a WARNING prefix; benchmarks
 // present on only one side are listed so a renamed hot path doesn't
 // silently drop out of the comparison.
-func compareBaseline(cur Doc, path string, warnPct float64, keep *regexp.Regexp) {
+func compareBaseline(w io.Writer, cur Doc, path string, warnPct float64, keep *regexp.Regexp) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		fatal(err)
@@ -130,14 +131,14 @@ func compareBaseline(cur Doc, path string, warnPct float64, keep *regexp.Regexp)
 			baseMet[e.Name] = e.Metrics
 		}
 	}
-	fmt.Fprintf(os.Stderr, "\nbenchjson: comparing against %s (warn at %.0f%%)\n", path, warnPct)
+	fmt.Fprintf(w, "\nbenchjson: comparing against %s (warn at %.0f%%)\n", path, warnPct)
 	var regressions int
 	for _, e := range cur.Benchmarks {
 		bm, ok := baseMet[e.Name]
 		delete(baseMet, e.Name)
 		if !ok {
 			if v, has := e.Metrics["ns/op"]; has {
-				fmt.Fprintf(os.Stderr, "  new       %-50s %14.0f ns/op (no baseline)\n", e.Name, v)
+				fmt.Fprintf(w, "  new       %-50s %14.0f ns/op (no baseline)\n", e.Name, v)
 			}
 			continue
 		}
@@ -155,21 +156,21 @@ func compareBaseline(cur Doc, path string, warnPct float64, keep *regexp.Regexp)
 			switch {
 			case pct > warnPct:
 				regressions++
-				fmt.Fprintf(os.Stderr, "  WARNING   %-50s %14.1f %s, %.1f%% worse than baseline %.1f\n",
+				fmt.Fprintf(w, "  WARNING   %-50s %14.1f %s, %.1f%% worse than baseline %.1f\n",
 					e.Name, v, unit, pct, b)
 			default:
-				fmt.Fprintf(os.Stderr, "  ok        %-50s %14.1f %s, %+.1f%% vs baseline\n",
+				fmt.Fprintf(w, "  ok        %-50s %14.1f %s, %+.1f%% vs baseline\n",
 					e.Name, v, unit, -pct)
 			}
 		}
 	}
 	for name, bm := range baseMet {
 		if b, ok := bm["ns/op"]; ok {
-			fmt.Fprintf(os.Stderr, "  missing   %-50s baseline %14.0f ns/op, absent from this run\n", name, b)
+			fmt.Fprintf(w, "  missing   %-50s baseline %14.0f ns/op, absent from this run\n", name, b)
 		}
 	}
 	if regressions > 0 {
-		fmt.Fprintf(os.Stderr, "benchjson: %d benchmark(s) regressed past +%.0f%% — re-measure with a longer -benchtime before trusting this\n",
+		fmt.Fprintf(w, "benchjson: %d benchmark(s) regressed past +%.0f%% — re-measure with a longer -benchtime before trusting this\n",
 			regressions, warnPct)
 	}
 }
@@ -198,8 +199,14 @@ func compareUnits(m map[string]float64) []string {
 	return append(units, th...)
 }
 
-// parseBench decodes one result line: name, iteration count, then
-// value/unit pairs ("13827812 ns/op 5.0 %PARX-recovery").
+// cpuSuffix is the "-<GOMAXPROCS>" suffix go test appends to benchmark
+// names when GOMAXPROCS > 1. Names are stored without it, so a run on a
+// host with a different CPU count still matches the baseline's rows.
+var cpuSuffix = regexp.MustCompile(`-[0-9]+$`)
+
+// parseBench decodes one result line: name (CPU suffix stripped),
+// iteration count, then value/unit pairs ("13827812 ns/op 5.0
+// %PARX-recovery").
 func parseBench(line string) (Entry, bool) {
 	f := strings.Fields(line)
 	if len(f) < 4 {
@@ -209,7 +216,7 @@ func parseBench(line string) (Entry, bool) {
 	if err != nil {
 		return Entry{}, false
 	}
-	e := Entry{Name: f[0], Iterations: iters, Metrics: map[string]float64{}}
+	e := Entry{Name: cpuSuffix.ReplaceAllString(f[0], ""), Iterations: iters, Metrics: map[string]float64{}}
 	for i := 2; i+1 < len(f); i += 2 {
 		v, err := strconv.ParseFloat(f[i], 64)
 		if err != nil {

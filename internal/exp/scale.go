@@ -44,11 +44,6 @@ type ScaleSpec struct {
 	// Seed drives nothing today (the generator is fully deterministic) but
 	// is threaded into the fabric's PML randomness.
 	Seed uint64
-	// SolverWorkers bounds the flow solver's per-component shard
-	// parallelism (flow.Network.SetWorkers, DESIGN.md §12). 0 keeps the
-	// solver sequential; negative selects GOMAXPROCS. The run's results
-	// are bit-identical at every setting — only wall time changes.
-	SolverWorkers int
 	// Instrumented attaches the full observability stack — IB-style
 	// channel counters, per-message FCT records, the engine queue-depth
 	// probe and a streaming sink — exactly as a counter-reading experiment
@@ -82,9 +77,6 @@ type ScaleResult struct {
 	// Events is the engine's executed-event count — with RunWall, the
 	// events/s throughput of the event core itself.
 	Events uint64
-	// SolverWorkers is the effective flow-solver shard parallelism the run
-	// used (after GOMAXPROCS resolution); 1 means fully sequential.
-	SolverWorkers int
 	// PeakRSSBytes is the process high-water RSS after the run (0 where
 	// the platform cannot report it). Note it is process-wide: under `go
 	// test` it includes whatever earlier tests peaked at.
@@ -167,9 +159,7 @@ func RunScale(spec ScaleSpec) (*ScaleResult, error) {
 		return nil, err
 	}
 	eng := sim.NewEngine()
-	params := fabric.DefaultParams()
-	params.SolverWorkers = spec.SolverWorkers
-	f := fabric.New(eng, tb, params, spec.Seed)
+	f := fabric.New(eng, tb, fabric.DefaultParams(), spec.Seed)
 	var col *telemetry.Collector
 	var sink *telemetry.CountSink
 	if spec.Instrumented {
@@ -182,10 +172,9 @@ func RunScale(spec ScaleSpec) (*ScaleResult, error) {
 		f.AttachTelemetry(col)
 	}
 	res := &ScaleResult{
-		Terminals:     hx.Graph.NumTerminals(),
-		Switches:      hx.Graph.NumSwitches(),
-		BuildWall:     time.Since(buildStart),
-		SolverWorkers: f.Net.Workers(),
+		Terminals: hx.Graph.NumTerminals(),
+		Switches:  hx.Graph.NumSwitches(),
+		BuildWall: time.Since(buildStart),
 	}
 
 	terms := hx.Graph.Terminals()

@@ -121,45 +121,6 @@ func TestScaleProgressNoDuplicateFinal(t *testing.T) {
 	}
 }
 
-// TestRunScaleDeterministicAcrossSolverWorkers holds the endurance loop
-// to the shard determinism contract end to end: the simulated clock,
-// delivery counts and recompute counts must be identical at any
-// -solver-j, mirroring the flow-level TestShardDeterminism.
-func TestRunScaleDeterministicAcrossSolverWorkers(t *testing.T) {
-	run := func(j int) *ScaleResult {
-		res, err := RunScale(ScaleSpec{
-			S: []int{4, 4}, T: 4,
-			Window: 256, Messages: 3000, MsgBytes: 64 * 1024,
-			Strides: 6, Seed: 7, SolverWorkers: j,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	base := run(0)
-	if base.SolverWorkers != 1 {
-		t.Errorf("SolverWorkers=0 resolved to %d, want sequential 1", base.SolverWorkers)
-	}
-	for _, j := range []int{2, 8} {
-		got := run(j)
-		if got.SolverWorkers != j {
-			t.Errorf("solver-j %d: result reports %d workers", j, got.SolverWorkers)
-		}
-		if got.SimElapsed != base.SimElapsed {
-			t.Errorf("solver-j %d: SimElapsed %v vs %v (not bit-identical)",
-				j, got.SimElapsed, base.SimElapsed)
-		}
-		if got.Delivered != base.Delivered || got.DeliveredBytes != base.DeliveredBytes {
-			t.Errorf("solver-j %d: delivered %d/%g vs %d/%g",
-				j, got.Delivered, got.DeliveredBytes, base.Delivered, base.DeliveredBytes)
-		}
-		if got.Recomputes != base.Recomputes {
-			t.Errorf("solver-j %d: %d recomputes vs %d", j, got.Recomputes, base.Recomputes)
-		}
-	}
-}
-
 func TestRunScaleRejectsUnknownRouting(t *testing.T) {
 	if _, err := RunScale(ScaleSpec{S: []int{2, 2}, T: 2, Routing: "parx", Messages: 1}); err == nil {
 		t.Fatal("unknown routing accepted")

@@ -19,7 +19,9 @@ import (
 // tie-heavy, every-endpoint-busy run. Equal link capacities and uniform
 // random traffic make dozens of channels share a bottleneck level, so any
 // change to how epsilon-tied bottlenecks are picked, or to the order in
-// which flows freeze, shows up here as a changed float64 bit pattern.
+// which flows freeze, shows up here as a changed float64 bit pattern. A
+// second, disjoint shape pins settles that re-solve many components at
+// once, with near-tied shares across components.
 // Regenerate with `go test ./internal/flow -run TestLoadedGolden -update`
 // only for a change that is meant to alter the solver's arithmetic.
 

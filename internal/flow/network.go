@@ -120,22 +120,15 @@ type Network struct {
 	chanGen     []uint32
 	pushedGen   []uint32
 	// Scratch reused across solves. regionChans/regionFlows hold the
-	// dirty region segmented into connected components; comps spans both
-	// (solver_shard.go). scratches holds one private progressive-filling
-	// scratch (share heap, tie buffer, freeze set) per shard worker;
-	// sequential solves use scratches[0].
+	// dirty region segmented into connected components; comps spans both.
+	// scratch is the progressive-filling scratch (share heap, tie pool,
+	// freeze set).
 	regionChans []topo.ChannelID
 	regionFlows []int32
 	comps       []component
-	scratches   []solverScratch
+	scratch     solverScratch
 	doneScratch []int32
 	cbScratch   []func(at sim.Time)
-	// workers bounds the per-component parallelism of the incremental
-	// re-solve (SetWorkers); 1, the default, keeps every settle on the
-	// event goroutine. pool is the fork-join pool used when workers > 1,
-	// always joined before the settle event returns.
-	workers int
-	pool    *sim.Pool
 	// doneHeap orders predicted completion times; entries invalidate
 	// lazily via tab.doneGen.
 	doneHeap doneHeap
@@ -155,8 +148,6 @@ func NewNetwork(eng *sim.Engine, g *topo.Graph) *Network {
 		caps:       make([]float64, 2*len(g.Links)),
 		solver:     defaultSolver,
 		dirtyEpoch: 1,
-		workers:    1,
-		scratches:  make([]solverScratch, 1),
 	}
 	for _, l := range g.Links {
 		n.caps[2*l.ID] = l.Bandwidth

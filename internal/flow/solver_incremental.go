@@ -1,6 +1,8 @@
 package flow
 
 import (
+	"math"
+
 	"github.com/hpcsim/t2hx/internal/sim"
 	"github.com/hpcsim/t2hx/internal/topo"
 )
@@ -20,7 +22,8 @@ import (
 //     rate is exactly the global solution. When the dirty region spans
 //     the whole network this degenerates into a full (heap-driven) solve.
 //     The region is discovered segmented into its connected components,
-//     which can be re-solved in parallel (solver_shard.go, DESIGN.md §12).
+//     and each is solved on its own, in ascending root order: fair shares
+//     of different components never enter one tie window (DESIGN.md §12).
 //  3. Heaps for both bottleneck selection (shareHeap over channel fair
 //     shares) and completion scheduling (doneHeap over predicted finish
 //     times), replacing the linear scans. Both invalidate lazily: an entry
@@ -51,6 +54,30 @@ import (
 type chanSlot struct {
 	idx int32 // flow table slot
 	hop int32 // index into the flow's path for this channel
+}
+
+// component is one connected component of the current dirty region: a
+// span of regionChans and a span of regionFlows (segmented storage — no
+// per-component allocation). root is the smallest channel ID in the
+// component, the key components are solved and merged in.
+type component struct {
+	root    topo.ChannelID
+	chanOff int32
+	chanLen int32
+	flowOff int32
+	flowLen int32
+}
+
+// solverScratch is the progressive-filling scratch reused across
+// component solves: the bottleneck share heap, the pool of epsilon-tied
+// bottleneck candidates and the freeze set.
+type solverScratch struct {
+	shareHeap shareHeap
+	tiePool   []shareEntry
+	freeze    []int32
+	// live counts the component's channels that still carry unfrozen
+	// flows, the bound on live heap entries that gates compaction.
+	live int
 }
 
 // shareEntry is a (fair share, channel) candidate in the bottleneck heap;
@@ -279,12 +306,10 @@ func (n *Network) consumeDirty() {
 
 // recomputeIncremental re-solves the region of the contention graph
 // touched by the dirty channels; flows outside it keep their rates. The
-// region is discovered segmented into connected components
-// (solver_shard.go), each component is progressively filled independently
-// — in parallel when SetWorkers allows and the region is big enough — and
-// the completion predictions are merged sequentially in (component root,
-// start order) order, keeping the result bit-identical to the fully
-// sequential solve at any worker count.
+// region is discovered segmented into connected components, and each
+// component in ascending root order has its flows integrated to now,
+// is progressively filled on its own, and has its completion predictions
+// pushed in discovery order.
 func (n *Network) recomputeIncremental() {
 	n.Recomputes++
 	if len(n.dirtyChans) == 0 {
@@ -299,28 +324,21 @@ func (n *Network) recomputeIncremental() {
 	if len(comps) == 0 {
 		return
 	}
-	// Integrate every region flow to now under its outgoing rate before
-	// any re-rating: the region is exactly the set of flows whose rates
-	// may change, so this closes their current piecewise-constant interval
-	// (and credits it to the attached counters) while everyone outside the
-	// region keeps integrating lazily. Done here, sequentially in
-	// component-discovery order, so shard workers never write the shared
-	// counter sums.
 	t := &n.tab
 	for ci := range comps {
 		comp := &comps[ci]
-		for _, idx := range n.regionFlows[comp.flowOff : comp.flowOff+comp.flowLen] {
+		flows := n.regionFlows[comp.flowOff : comp.flowOff+comp.flowLen]
+		// Integrate the component's flows to now under their outgoing
+		// rates before re-rating them: the region is exactly the set of
+		// flows whose rates may change, so this closes their current
+		// piecewise-constant interval (and credits it to the attached
+		// counters) while everyone outside the region keeps integrating
+		// lazily.
+		for _, idx := range flows {
 			n.advanceFlow(idx, now)
 		}
-	}
-	n.solveComponents(comps, now)
-	// Merge: predict completions for every re-rated flow, sequentially in
-	// ascending component-root order (the canonical order fixed by
-	// discoverComponents), flows in discovery order within a component —
-	// the same total order the unsharded solve produced.
-	for ci := range comps {
-		comp := &comps[ci]
-		for _, idx := range n.regionFlows[comp.flowOff : comp.flowOff+comp.flowLen] {
+		n.solveComponent(comp)
+		for _, idx := range flows {
 			n.checkRate(idx)
 			t.doneGen[idx]++
 			n.doneHeap.push(doneEntry{
@@ -332,6 +350,228 @@ func (n *Network) recomputeIncremental() {
 		}
 	}
 	n.maybeCompactDoneHeap()
+}
+
+// discoverComponents runs the dirty-region BFS once per unswept dirty
+// seed, segmenting regionChans/regionFlows into connected components. The
+// returned slice (backed by n.comps) is sorted by root, fixing the solve
+// and merge order; flowless components (membership drained to empty) are
+// dropped.
+func (n *Network) discoverComponents() []component {
+	t := &n.tab
+	n.epoch++
+	ep := n.epoch
+	regionChans := n.regionChans[:0]
+	regionFlows := n.regionFlows[:0]
+	comps := n.comps[:0]
+	for _, seed := range n.dirtyChans {
+		if n.regionStamp[seed] == ep {
+			continue // already swept into an earlier seed's component
+		}
+		n.regionStamp[seed] = ep
+		chanOff := len(regionChans)
+		flowOff := len(regionFlows)
+		regionChans = append(regionChans, seed)
+		root := seed
+		for head := chanOff; head < len(regionChans); head++ {
+			c := regionChans[head]
+			if c < root {
+				root = c
+			}
+			for _, sl := range n.chanFlows[c] {
+				if t.mark[sl.idx] == ep {
+					continue
+				}
+				t.mark[sl.idx] = ep
+				regionFlows = append(regionFlows, sl.idx)
+				for _, c2 := range t.path(sl.idx) {
+					if n.regionStamp[c2] != ep {
+						n.regionStamp[c2] = ep
+						regionChans = append(regionChans, c2)
+					}
+				}
+			}
+		}
+		if len(regionFlows) == flowOff {
+			// Every flow left this seed's channels: nothing to re-rate.
+			regionChans = regionChans[:chanOff]
+			continue
+		}
+		comps = append(comps, component{
+			root:    root,
+			chanOff: int32(chanOff),
+			chanLen: int32(len(regionChans) - chanOff),
+			flowOff: int32(flowOff),
+			flowLen: int32(len(regionFlows) - flowOff),
+		})
+	}
+	n.consumeDirty()
+	n.regionChans = regionChans
+	n.regionFlows = regionFlows
+	// Canonical order: ascending root. Insertion sort — settles touch a
+	// handful of components and sort.Slice would allocate.
+	for i := 1; i < len(comps); i++ {
+		for j := i; j > 0 && comps[j].root < comps[j-1].root; j-- {
+			comps[j], comps[j-1] = comps[j-1], comps[j]
+		}
+	}
+	n.comps = comps
+	return comps
+}
+
+// solveComponent progressively fills one component. It reads and writes
+// only the component's own per-channel solver arrays and per-flow SoA
+// entries, so the tie window it sees is the component's own (DESIGN.md
+// §12).
+func (n *Network) solveComponent(comp *component) {
+	t := &n.tab
+	sc := &n.scratch
+	chans := n.regionChans[comp.chanOff : comp.chanOff+comp.chanLen]
+	flows := n.regionFlows[comp.flowOff : comp.flowOff+comp.flowLen]
+	h := &sc.shareHeap
+	*h = (*h)[:0]
+	for _, c := range chans {
+		cnt := int32(len(n.chanFlows[c]))
+		n.residual[c] = n.caps[c]
+		n.unfrozenCnt[c] = cnt
+		n.chanGen[c]++
+		if cnt > 0 {
+			if n.cc != nil {
+				n.cc.NoteActive(c, int(cnt))
+			}
+			n.pushedGen[c] = n.chanGen[c]
+			*h = append(*h, shareEntry{share: n.caps[c] / float64(cnt), c: c, gen: n.chanGen[c]})
+		}
+	}
+	h.init()
+	for _, idx := range flows {
+		t.rate[idx] = -1 // unfrozen
+	}
+	// Bottleneck selection. The level is the minimum live share; every
+	// live share sharesEqual to it forms the tie window, and the window's
+	// smallest channel ID freezes, so last-ulp share differences cannot
+	// flip the choice. Uniform traffic over equal capacities puts hundreds
+	// of channels in one window, so the window lives in a pool instead of
+	// being popped and re-pushed at every step: an entry enters the pool
+	// once and leaves when its channel freezes or changes (chanGen moves)
+	// or when a lower level pushes it out of the window. Stale heap
+	// entries are popped as they surface, and dropped in one pass once
+	// the heap holds more than twice as many entries as there are live
+	// channels, plus 64 (the maybeCompactDoneHeap pattern).
+	pool := sc.tiePool[:0]
+	sc.live = len(*h)
+	remaining := len(flows)
+	for remaining > 0 {
+		level := math.Inf(1)
+		live := pool[:0]
+		for _, e := range pool {
+			if e.gen == n.chanGen[e.c] {
+				live = append(live, e)
+				if e.share < level {
+					level = e.share
+				}
+			}
+		}
+		pool = live
+		for len(*h) > 0 && (*h)[0].gen != n.chanGen[(*h)[0].c] {
+			h.pop()
+		}
+		if len(*h) > 0 && (*h)[0].share < level {
+			level = (*h)[0].share
+			// A level below the pool's can leave pool entries outside
+			// the window: return them to the heap.
+			in := pool[:0]
+			for _, e := range pool {
+				if sharesEqual(e.share, level) {
+					in = append(in, e)
+				} else {
+					h.push(e)
+				}
+			}
+			pool = in
+		}
+		for len(*h) > 0 {
+			top := (*h)[0]
+			if top.gen != n.chanGen[top.c] {
+				h.pop()
+				continue
+			}
+			if !sharesEqual(top.share, level) {
+				break
+			}
+			pool = append(pool, h.pop())
+		}
+		if len(pool) == 0 {
+			panic("flow: unfrozen flows but no bottleneck channel")
+		}
+		best := 0
+		for i := range pool {
+			if pool[i].c < pool[best].c {
+				best = i
+			}
+		}
+		bott := pool[best]
+		last := len(pool) - 1
+		pool[best] = pool[last]
+		pool = pool[:last]
+		remaining -= n.freezeChannel(bott.c, bott.share)
+		if len(*h) > 2*sc.live+64 {
+			h.dropStale(n.chanGen)
+		}
+	}
+	sc.tiePool = pool[:0]
+}
+
+// freezeChannel freezes every unfrozen flow crossing bott at share (in
+// start order, for deterministic float arithmetic), updates residuals
+// and re-queues the touched channels on the share heap. Returns the
+// number frozen.
+func (n *Network) freezeChannel(bott topo.ChannelID, share float64) int {
+	t := &n.tab
+	sc := &n.scratch
+	fs := sc.freeze[:0]
+	for _, sl := range n.chanFlows[bott] {
+		if t.rate[sl.idx] < 0 {
+			fs = append(fs, sl.idx)
+		}
+	}
+	// Insertion sort by seq: bottleneck freeze sets are usually small, and
+	// membership order is insertion order, already mostly sorted.
+	for i := 1; i < len(fs); i++ {
+		for j := i; j > 0 && t.seq[fs[j]] < t.seq[fs[j-1]]; j-- {
+			fs[j], fs[j-1] = fs[j-1], fs[j]
+		}
+	}
+	for _, idx := range fs {
+		t.rate[idx] = share
+		t.bott[idx] = bott
+		for _, c := range t.path(idx) {
+			n.residual[c] -= share
+			if n.residual[c] < 0 {
+				n.residual[c] = 0
+			}
+			n.unfrozenCnt[c]--
+			if n.unfrozenCnt[c] == 0 {
+				sc.live--
+			}
+			n.chanGen[c]++
+		}
+	}
+	// Re-queue each touched channel once, at its updated share.
+	for _, idx := range fs {
+		for _, c := range t.path(idx) {
+			if n.unfrozenCnt[c] > 0 && n.pushedGen[c] != n.chanGen[c] {
+				n.pushedGen[c] = n.chanGen[c]
+				sc.shareHeap.push(shareEntry{
+					share: n.residual[c] / float64(n.unfrozenCnt[c]),
+					c:     c,
+					gen:   n.chanGen[c],
+				})
+			}
+		}
+	}
+	sc.freeze = fs[:0]
+	return len(fs)
 }
 
 // scheduleNextDoneHeap points the completion event at the earliest live

@@ -20,7 +20,7 @@ import (
 // same expression a live heap entry carries, and flows freeze through the
 // same freezeChannel, so the arithmetic matches solveComponent's exactly
 // whenever the picks do.
-func (n *Network) scanSolveComponent(comp *component, sc *solverScratch) {
+func (n *Network) scanSolveComponent(comp *component) {
 	chans := n.regionChans[comp.chanOff : comp.chanOff+comp.chanLen]
 	flows := n.regionFlows[comp.flowOff : comp.flowOff+comp.flowLen]
 	for _, c := range chans {
@@ -44,8 +44,8 @@ func (n *Network) scanSolveComponent(comp *component, sc *solverScratch) {
 				best = c
 			}
 		}
-		remaining -= n.freezeChannel(sc, best, share(best))
-		sc.shareHeap = sc.shareHeap[:0] // freezeChannel's re-queues are unused here
+		remaining -= n.freezeChannel(best, share(best))
+		n.scratch.shareHeap = n.scratch.shareHeap[:0] // freezeChannel's re-queues are unused here
 	}
 }
 
@@ -90,13 +90,13 @@ func TestTiePoolMatchesScan(t *testing.T) {
 		for ci := range comps {
 			comp := &comps[ci]
 			flows := n.regionFlows[comp.flowOff : comp.flowOff+comp.flowLen]
-			n.solveComponent(comp, &n.scratches[0], 0)
+			n.solveComponent(comp)
 			rate := make([]float64, len(flows))
 			bott := make([]topo.ChannelID, len(flows))
 			for i, idx := range flows {
 				rate[i], bott[i] = n.tab.rate[idx], n.tab.bott[idx]
 			}
-			n.scanSolveComponent(comp, &solverScratch{})
+			n.scanSolveComponent(comp)
 			for i, idx := range flows {
 				if n.tab.rate[idx] != rate[i] || n.tab.bott[idx] != bott[i] {
 					t.Fatalf("seed %d: flow slot %d: tie pool froze it at %v on channel %d, scan at %v on %d",

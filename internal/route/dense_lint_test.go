@@ -92,26 +92,24 @@ func TestNoHandleMapsInFlowFabricHotPaths(t *testing.T) {
 }
 
 // TestNoMapsInComponentIndexHotPath bans maps of ANY key type in the
-// sharded solver's component-index hot path and the fork-join pool under
-// it: component discovery runs on every settle and the solve body runs on
-// pool workers, so both must stay on epoch-stamped flat slices (a map
-// would also be a latent data race between workers). Stricter than the
-// keyed bans above on purpose — these files have no legitimate map use.
+// incremental solver, which holds the component index: component
+// discovery and the component solve run on every settle, so both must
+// stay on epoch-stamped flat slices. Stricter than the keyed bans above
+// on purpose — this file has no legitimate map use.
 func TestNoMapsInComponentIndexHotPath(t *testing.T) {
+	const file = "../flow/solver_incremental.go"
 	fset := token.NewFileSet()
-	for _, file := range []string{"../flow/solver_shard.go", "../sim/pool.go"} {
-		f, err := parser.ParseFile(fset, file, nil, 0)
-		if err != nil {
-			t.Fatalf("parsing %s: %v", file, err)
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if m, ok := n.(*ast.MapType); ok {
-				t.Errorf("%s: map in the component-index hot path — use epoch-stamped flat slices over the channel/flow space instead",
-					fset.Position(m.Pos()))
-			}
-			return true
-		})
+	f, err := parser.ParseFile(fset, file, nil, 0)
+	if err != nil {
+		t.Fatalf("parsing %s: %v", file, err)
 	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		if m, ok := n.(*ast.MapType); ok {
+			t.Errorf("%s: map in the component-index hot path — use epoch-stamped flat slices over the channel/flow space instead",
+				fset.Position(m.Pos()))
+		}
+		return true
+	})
 }
 
 // TestNoContainerHeapInEventAndFlowHotPaths bans container/heap from the
@@ -143,6 +141,36 @@ func TestNoContainerHeapInEventAndFlowHotPaths(t *testing.T) {
 						fset.Position(imp.Pos()))
 				}
 			}
+		}
+	}
+}
+
+// TestNoGoroutinesInEventAndFlowCores holds the event core and the flow
+// solvers to one goroutine: a settle solves its components in ascending
+// root order on the event goroutine, and that order is what keeps rates
+// bit-identical. Test files are exempt.
+func TestNoGoroutinesInEventAndFlowCores(t *testing.T) {
+	fset := token.NewFileSet()
+	for _, dir := range []string{"../sim", "../flow"} {
+		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil || len(files) == 0 {
+			t.Fatalf("no Go files found in %s: %v", dir, err)
+		}
+		for _, file := range files {
+			if strings.HasSuffix(file, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, file, nil, 0)
+			if err != nil {
+				t.Fatalf("parsing %s: %v", file, err)
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				if g, ok := n.(*ast.GoStmt); ok {
+					t.Errorf("%s: go statement — the event core and flow solvers run on the event goroutine only",
+						fset.Position(g.Pos()))
+				}
+				return true
+			})
 		}
 	}
 }
