@@ -383,37 +383,3 @@ func TestHyperXSingleCableBottleneckStaticLoad(t *testing.T) {
 		t.Errorf("cable carries %d of 49 adjacent-pair flows", load)
 	}
 }
-
-// A lane-budget overflow names the first path that fit no lane and the
-// number of paths the pass walks, in the fixed (source, destination, LID)
-// order. The lane passes stream their paths and keep walking past the
-// failure only to count; these messages were recorded when the passes
-// still materialized every path before layering.
-func TestLaneOverflowReportsFailingPath(t *testing.T) {
-	hx := smallHX(t)
-	chained := topo.NewHyperX(topo.HyperXConfig{S: []int{6, 4}, T: 2, Bandwidth: 1e9, Latency: 1e-7})
-	chain, err := topo.DegradeChain(chained.Graph, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range chain {
-		chained.Links[id].Down = true
-	}
-	cases := []struct {
-		build func() (*Tables, error)
-		want  string
-	}{
-		{func() (*Tables, error) { return DFSSSP(hx.Graph, 0, 1) },
-			"route: dfsssp needs more than 1 virtual lanes (failed at path 620 of 992)"},
-		{func() (*Tables, error) { return DFSSSP(hx.Graph, 1, 1) },
-			"route: dfsssp needs more than 1 virtual lanes (failed at path 620 of 1984)"},
-		{func() (*Tables, error) { return HXNonMin(chained, 0, 1) },
-			"route: hxnm needs more than 1 virtual lanes (failed at path 1036 of 1128)"},
-	}
-	for _, c := range cases {
-		_, err := c.build()
-		if err == nil || err.Error() != c.want {
-			t.Errorf("got error %v, want %q", err, c.want)
-		}
-	}
-}
