@@ -342,10 +342,21 @@ func SwitchChannelPred(g *topo.Graph) func(topo.ChannelID) bool {
 // paths one at a time through a reused buffer and offer each as it comes,
 // so no pass holds its path set; the order of the offers alone decides the
 // lanes.
+//
+// A lane's edge set only grows: a rejected path rolls back only the edges
+// it added itself. So a fabric sequence rejected on lane k stays rejected
+// there (the cycle it closed is still present), and one accepted on lane k
+// has all its edges in lane k from then on. Offering a sequence a second
+// time therefore lands on the lane it got the first time and adds no edge,
+// which is what lets AssignVLs place each (source switch, LID) path once.
+// Rollbacks do leave the Pearce-Kelly order permuted, but the order only
+// prunes the cycle search; whether an edge closes a cycle does not depend
+// on it.
 type lanePlacer struct {
 	layers   []*CDG
 	maxVL    int
 	channels int // channel count of the graph, to size each lane's CDG once
+	offers   int // paths offered to place; read by tests
 }
 
 func newLanePlacer(g *topo.Graph, maxVL int) *lanePlacer {
@@ -367,6 +378,7 @@ func (p *lanePlacer) addLayer() *CDG {
 // lane that stays acyclic and returns the lane, or -1 when no lane within
 // maxVL takes it.
 func (p *lanePlacer) place(fabric []topo.ChannelID) int {
+	p.offers++
 	for vl, layer := range p.layers {
 		if layer.addFabricPath(fabric) {
 			return vl

@@ -200,3 +200,25 @@ func TestAssignLayersSplitsCyclicPathSets(t *testing.T) {
 		t.Error("maxVL=1 should fail on a cyclic path set")
 	}
 }
+
+// AssignVLs offers the placer one path per distinct (source switch, LID)
+// pair: on a T=3 HyperX every switch reaches every LID, and the other two
+// terminals of a switch reuse the lane its first terminal got.
+func TestAssignVLsOffersOncePerSwitchLID(t *testing.T) {
+	hx := topo.NewHyperX(topo.HyperXConfig{S: []int{4, 4}, T: 3, Bandwidth: 1e9, Latency: 1e-7})
+	g := hx.Graph
+	const lmc = 1
+	tb := newTables(g, "dfsssp", lmc, nil)
+	if err := SSSPCore(tb, SSSPOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	pl := newLanePlacer(g, 8)
+	if err := assignVLs(tb, pl); err != nil {
+		t.Fatal(err)
+	}
+	terms := g.NumTerminals()
+	if want := g.NumSwitches() * terms << lmc; pl.offers != want {
+		t.Errorf("placer got %d offers, want %d (one per switch and LID; %d terminal pairs)",
+			pl.offers, want, terms*(terms-1)<<lmc)
+	}
+}

@@ -147,31 +147,68 @@ func installLFT(t *Tables, lid LID, dstSw, dst topo.NodeID, sp *SPTree) {
 
 // AssignVLs walks every (src, dst-LID) path and distributes them over
 // virtual lanes with acyclic per-lane CDGs (the DFSSSP deadlock-avoidance
-// pass, reused by PARX). Paths stream through one buffer into the lane
-// placer in source, destination, LID order.
+// pass, reused by PARX and LASH). Paths are offered to the lane placer in
+// source, destination, LID order.
+//
+// Routing is destination-based, so every terminal on a switch has the same
+// fabric channels toward a LID. Only the first terminal of a switch to
+// reach a LID walks and places that path; the switch's later terminals
+// take its lane from a dense (source switch, LID) memo. The memo is exact
+// because a lane's edge set only grows (see lanePlacer): a repeat would be
+// rejected by every lane below the recorded one and accepted, with no new
+// edge, by the recorded one, so skipping it changes no lane. The offer
+// order stays terminal-major: grouping sources by switch, as
+// assignLanesTolerant does, would reorder the offers, and first-fit would
+// then pick other lanes. After a lane overflow the memo is bypassed, and
+// the walk goes on only to count the paths and to report a broken path
+// first.
 func AssignVLs(t *Tables, maxVL int) error {
+	return assignVLs(t, newLanePlacer(t.G, maxVL))
+}
+
+// assignVLs is AssignVLs on a given placer, so tests can read its offer
+// count.
+func assignVLs(t *Tables, pl *lanePlacer) error {
 	g := t.G
 	terms := g.Terminals()
 	span := 1 << t.LMC
-	attached := make([]bool, len(terms))
+	slots := len(terms) << t.LMC
+	// swOf[i] is terminal i's switch index, or -1 when it is detached.
+	swOf := make([]int, len(terms))
 	for i, tm := range terms {
-		attached[i] = g.SwitchOf(tm) >= 0
+		swOf[i] = -1
+		if sw := g.SwitchOf(tm); sw >= 0 {
+			swOf[i] = g.SwitchIndex(sw)
+		}
 	}
-	pl := newLanePlacer(g, maxVL)
+	// lane[sw*slots + dstTermIdx<<LMC | offset] is the lane placed for the
+	// path from switch sw to that LID, or -1 before its first offer. Lane
+	// counts stay far below 128 (InfiniBand has at most 16 VLs).
+	lane := make([]int8, g.NumSwitches()*slots)
+	for i := range lane {
+		lane[i] = -1
+	}
 	var buf []topo.ChannelID // the walked path, reused across pairs
 	n, failed := 0, -1
 	for si, src := range terms {
-		if !attached[si] {
+		if swOf[si] < 0 {
 			continue // detached source cannot inject traffic
 		}
+		memo := lane[swOf[si]*slots:][:slots]
 		for di := range terms {
-			if di == si || !attached[di] {
+			if di == si || swOf[di] < 0 {
 				// Detached destinations have no LFT entries; their LIDs are
 				// unreachable, not deadlock-relevant.
 				continue
 			}
 			for off := 0; off < span; off++ {
 				lid := t.BaseLID[di] + LID(off)
+				slot := di<<t.LMC | off
+				if failed < 0 && memo[slot] >= 0 {
+					t.SetSL(src, lid, uint8(memo[slot]))
+					n++
+					continue
+				}
 				p, err := t.appendPath(buf[:0], src, lid)
 				if err != nil {
 					return fmt.Errorf("route: VL assignment: %w", err)
@@ -181,6 +218,7 @@ func AssignVLs(t *Tables, maxVL int) error {
 				// paths and to report a broken path first.
 				if failed < 0 {
 					if vl := pl.place(p[1 : len(p)-1]); vl >= 0 {
+						memo[slot] = int8(vl)
 						t.SetSL(src, lid, uint8(vl))
 					} else {
 						failed = n
@@ -192,7 +230,7 @@ func AssignVLs(t *Tables, maxVL int) error {
 	}
 	if failed >= 0 {
 		return fmt.Errorf("route: %s needs more than %d virtual lanes (failed at path %d of %d)",
-			t.Engine, maxVL, failed, n)
+			t.Engine, pl.maxVL, failed, n)
 	}
 	t.NumVL = pl.lanes()
 	return nil
